@@ -181,7 +181,17 @@ func goldenCases(short bool) []struct {
 			struct {
 				id  string
 				opt Options
-			}{"tournament", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}})
+			}{"tournament", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}},
+			// The splitting figures pin both split paths: fig5.9 runs
+			// No/Linear/NP_Split, fig5.10 the NP-only cut comparison.
+			struct {
+				id  string
+				opt Options
+			}{"fig5.9", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}},
+			struct {
+				id  string
+				opt Options
+			}{"fig5.10", Options{Scale: 0.004, Transactions: 120, Seed: 1, Workers: 1}})
 	}
 	return cases
 }
