@@ -121,3 +121,37 @@ func TestContextPolicySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("tracked=%d, want 16", pol.Tracked())
 	}
 }
+
+// TestSplitBoundRejectionAllocFree: an overflow whose settle cost the split
+// overhead alone already covers is rejected before the partition graph is
+// built, so the rejection performs zero heap allocations and touches no
+// split statistics.
+func TestSplitBoundRejectionAllocFree(t *testing.T) {
+	f := newFixture(t, 1024, 16)
+	f.c.Split = LinearSplit
+	f.c.NoSiblingCandidates = true // a leaf's affinity to its root page is then 0.6 < SplitOverhead
+	root, _ := f.g.NewObject("R", 1, f.rootT)
+	rp := f.mustPlace(t, root)
+	for i := 0; i < 8; i++ {
+		f.mustPlace(t, f.newLeafUnder(t, root.ID, i))
+	}
+	leaf := f.newLeafUnder(t, root.ID, 8)
+	if f.st.Fits(leaf.Size, rp.Page) {
+		t.Fatal("fixture wants the root page full")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_, did, err := f.c.trySplit(leaf, rp.Page, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if did {
+			t.Fatal("split overhead exceeds the affinity at stake; no split expected")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("bound rejection allocates %.1f per run, want 0", allocs)
+	}
+	if st := f.c.Stats(); st.Splits != 0 || st.SplitInfeasible != 0 || st.SplitsCompared != 0 {
+		t.Fatalf("bound rejection must not reach the partitioners: %+v", st)
+	}
+}

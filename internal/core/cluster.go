@@ -20,8 +20,10 @@ type ClusterStats struct {
 	SplitInfeasible int
 	FrontierFalls   int // placements that fell back to the frontier
 
-	// Cut-cost bookkeeping for Figure 5.10: at every split both partitions
-	// are computed so the policies can be compared on identical inputs.
+	// Cut-cost bookkeeping for Figure 5.10, collected under NP_Split only:
+	// at every feasible overflow the greedy seed and the optimal partition
+	// are both computed, so the policies are compared on identical inputs.
+	// Linear_Split never runs the exact search and leaves these zero.
 	GreedyCutTotal  float64
 	OptimalCutTotal float64
 	SplitsCompared  int
@@ -439,7 +441,19 @@ func (c *Clusterer) placeFresh(o *model.Object, ios []PhysIO, fill *storage.Page
 // trySplit evaluates splitting full page pg to admit o, against the
 // alternative of placing o on the next best candidate (whose affinity is
 // given). It performs the split when favorable.
+//
+// The expected access cost of the split is its broken-arc cut plus
+// SplitOverhead; the cost of settling for the next candidate is the affinity
+// to this page that o forgoes. The cut sums positive arc weights, so it is
+// never negative: when SplitOverhead alone reaches the settle cost, no
+// partition can win and Linear_Split rejects without building the partition
+// graph. NP_Split always builds it, because Figure 5.10 compares its cut
+// with the greedy one at every overflow.
 func (c *Clusterer) trySplit(o *model.Object, pg storage.PageID, nextAffinity float64, ios []PhysIO) (Placement, bool, error) {
+	settleCost := c.Affinity(o, pg) - nextAffinity
+	if c.Split == LinearSplit && c.SplitOverhead >= settleCost {
+		return Placement{}, false, nil
+	}
 	ids := append(c.scr.ids[:0], o.ID)
 	ids = append(ids, c.Store.ObjectsOn(pg)...)
 	c.scr.ids = ids
@@ -447,21 +461,19 @@ func (c *Clusterer) trySplit(o *model.Object, pg storage.PageID, nextAffinity fl
 	graph.Build(c.Graph, ids)
 	cap := c.Store.PageSize()
 
-	greedy, gok := GreedySplit(graph, cap)
-	opt, ook := OptimalSplit(graph, cap)
-	if gok && ook {
-		c.stats.GreedyCutTotal += greedy.Cut
-		c.stats.OptimalCutTotal += opt.Cut
-		c.stats.SplitsCompared++
-	}
-
 	var part Partition
 	var ok bool
 	switch c.Split {
 	case LinearSplit:
-		part, ok = greedy, gok
+		part, ok = GreedySplit(graph, cap)
 	case NPSplit:
-		part, ok = opt, ook
+		greedy, gok := GreedySplit(graph, cap)
+		part, ok = optimalSplitFrom(graph, cap, greedy, gok)
+		if gok && ok {
+			c.stats.GreedyCutTotal += greedy.Cut
+			c.stats.OptimalCutTotal += part.Cut
+			c.stats.SplitsCompared++
+		}
 	default:
 		return Placement{}, false, nil
 	}
@@ -469,13 +481,7 @@ func (c *Clusterer) trySplit(o *model.Object, pg storage.PageID, nextAffinity fl
 		c.stats.SplitInfeasible++
 		return Placement{}, false, nil
 	}
-
-	// Expected access cost of the split = broken-arc cost + overhead; cost of
-	// settling for the next candidate = the affinity to this page we forgo.
-	hereAffinity := c.Affinity(o, pg)
-	splitCost := part.Cut + c.SplitOverhead
-	settleCost := hereAffinity - nextAffinity
-	if splitCost >= settleCost {
+	if part.Cut+c.SplitOverhead >= settleCost {
 		return Placement{}, false, nil
 	}
 

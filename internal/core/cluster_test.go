@@ -254,31 +254,42 @@ func TestReclusterStaysWhenCurrentBest(t *testing.T) {
 	}
 }
 
+// TestSplitTriggersAndRelocates fills the root page and inserts one more
+// leaf: with no alternative candidate carrying affinity, the split decision
+// compares cut cost against the full affinity loss and should split under
+// both policies. Only NP_Split runs the Figure 5.10 cut comparison, and it
+// compares every split it performs.
 func TestSplitTriggersAndRelocates(t *testing.T) {
-	f := newFixture(t, 1024, 16)
-	f.c.Split = LinearSplit
-	root, _ := f.g.NewObject("R", 1, f.rootT)
-	f.mustPlace(t, root)
-	// Fill the root page, then insert one more leaf: with no alternative
-	// candidate carrying affinity, the split decision compares cut cost
-	// against the full affinity loss and should split.
-	var last Placement
-	for i := 0; i < 12; i++ {
-		leaf := f.newLeafUnder(t, root.ID, i)
-		last = f.mustPlace(t, leaf)
-	}
-	st := f.c.Stats()
-	if st.Splits == 0 {
-		t.Fatalf("expected at least one split; last placement %+v, stats %+v", last, st)
-	}
-	if st.SplitsCompared != st.Splits {
-		t.Fatalf("every performed split must also be cost-compared: %+v", st)
-	}
-	if st.OptimalCutTotal > st.GreedyCutTotal+1e-9 {
-		t.Fatalf("NP cut total exceeds greedy: %+v", st)
-	}
-	if err := f.st.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, sp := range []SplitPolicy{LinearSplit, NPSplit} {
+		f := newFixture(t, 1024, 16)
+		f.c.Split = sp
+		root, _ := f.g.NewObject("R", 1, f.rootT)
+		f.mustPlace(t, root)
+		var last Placement
+		for i := 0; i < 12; i++ {
+			leaf := f.newLeafUnder(t, root.ID, i)
+			last = f.mustPlace(t, leaf)
+		}
+		st := f.c.Stats()
+		if st.Splits == 0 {
+			t.Fatalf("%v: expected at least one split; last placement %+v, stats %+v", sp, last, st)
+		}
+		switch sp {
+		case LinearSplit:
+			if st.SplitsCompared != 0 || st.GreedyCutTotal != 0 || st.OptimalCutTotal != 0 {
+				t.Fatalf("Linear_Split must not run the NP cut comparison: %+v", st)
+			}
+		case NPSplit:
+			if st.SplitsCompared != st.Splits {
+				t.Fatalf("every performed NP split must also be cost-compared: %+v", st)
+			}
+			if st.OptimalCutTotal > st.GreedyCutTotal+1e-9 {
+				t.Fatalf("NP cut total exceeds greedy: %+v", st)
+			}
+		}
+		if err := f.st.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

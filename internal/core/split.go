@@ -476,8 +476,16 @@ const maxExactNodes = 24
 // falls back to greedy plus hill-climbing node moves and swaps.
 // ok is false when no feasible partition exists.
 func OptimalSplit(pg *PartGraph, capacity int) (Partition, bool) {
-	n := len(pg.Nodes)
 	greedy, gok := GreedySplit(pg, capacity)
+	return optimalSplitFrom(pg, capacity, greedy, gok)
+}
+
+// optimalSplitFrom is OptimalSplit seeded with an already computed
+// GreedySplit(pg, capacity) result, so a caller that needs both partitions
+// runs the greedy pass once. The returned partition may share its Side
+// slice with greedy.
+func optimalSplitFrom(pg *PartGraph, capacity int, greedy Partition, gok bool) (Partition, bool) {
+	n := len(pg.Nodes)
 	if n > maxExactNodes {
 		if !gok {
 			return Partition{}, false

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"oodb/internal/buffer"
 	"oodb/internal/model"
+	"oodb/internal/storage"
 )
 
 // buildChain creates n objects on a graph connected in a configuration
@@ -295,4 +297,116 @@ func TestRefineImproves(t *testing.T) {
 	if better.Cut != 0 {
 		t.Fatalf("refine should merge the chain onto one side: cut=%v", better.Cut)
 	}
+}
+
+// splitBoundCase builds a full page of random related objects plus an
+// unplaced incoming object related to some of them, and compares the
+// graph-free split rejection with the full Linear_Split evaluation
+// (partition graph, GreedySplit, cost test). It fails t when the bound
+// rejects a split the full evaluation would perform, or when trySplit's
+// decision differs from the full evaluation's. It reports whether the bound
+// rejected and whether the split was performed.
+func splitBoundCase(t *testing.T, seed int64, nodes, overhead, next uint8) (bounded, split bool) {
+	t.Helper()
+	n := 2 + int(nodes%24)
+	rng := rand.New(rand.NewSource(seed))
+	g, ids := randomPartGraph(rng, n+1) // ids[0] is the incoming object
+	for _, id := range ids {
+		o := g.Object(id)
+		o.Freq[model.ConfigUp] = rng.Float64()
+		o.Freq[model.ConfigDown] = rng.Float64()
+		o.Freq[model.Correspondence] = rng.Float64() * 0.5
+	}
+	// Most objects share the overflowing page, sized to hold them exactly;
+	// the rest sit elsewhere and contribute no affinity to it.
+	var onPage, elsewhere []model.ObjectID
+	pageSize := 0
+	for _, id := range ids[1:] {
+		if rng.Intn(5) > 0 {
+			onPage = append(onPage, id)
+			pageSize += g.Object(id).Size
+		} else {
+			elsewhere = append(elsewhere, id)
+		}
+	}
+	if len(onPage) == 0 {
+		return false, false
+	}
+	st := storage.NewManager(g, pageSize)
+	pg, other := st.AllocatePage(), st.AllocatePage()
+	for _, id := range onPage {
+		if err := st.Place(id, pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range elsewhere {
+		if st.Fits(g.Object(id).Size, other) {
+			if err := st.Place(id, other); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c := NewClusterer(g, st, buffer.NewPool(8, buffer.NewLRU()))
+	c.Policy = PolicyNoLimit
+	c.Split = LinearSplit
+	c.SplitOverhead = float64(overhead) / 64
+	o := g.Object(ids[0])
+	here := c.Affinity(o, pg)
+	nextAffinity := here * float64(next) / 255
+	settleCost := here - nextAffinity
+
+	part := BuildPartGraph(g, append([]model.ObjectID{o.ID}, onPage...))
+	gr, ok := GreedySplit(part, pageSize)
+	fullSplits := ok && gr.Cut+c.SplitOverhead < settleCost
+	bounded = c.SplitOverhead >= settleCost
+	if bounded && fullSplits {
+		t.Fatalf("seed %d: bound rejects (overhead %v >= settle %v) but the full evaluation splits (cut %v)",
+			seed, c.SplitOverhead, settleCost, gr.Cut)
+	}
+	_, did, err := c.trySplit(o, pg, nextAffinity, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if did != fullSplits {
+		t.Fatalf("seed %d: trySplit split=%v, full evaluation split=%v", seed, did, fullSplits)
+	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return bounded, did
+}
+
+// FuzzSplitBound: the graph-free rejection never rejects a split the full
+// Linear_Split evaluation would perform, and trySplit decides exactly as
+// the full evaluation does.
+func FuzzSplitBound(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(40), uint8(0))
+	f.Add(int64(9), uint8(14), uint8(100), uint8(50))
+	f.Add(int64(23), uint8(30), uint8(10), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, nodes, overhead, next uint8) {
+		splitBoundCase(t, seed, nodes, overhead, next)
+	})
+}
+
+// TestSplitBoundSound runs the bound property over a fixed sweep of random
+// pages and checks the sweep covers all three outcomes: rejected by the
+// bound, rejected by the full cost test, and split.
+func TestSplitBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var bounded, costRejected, splits int
+	for i := 0; i < 600; i++ {
+		b, s := splitBoundCase(t, int64(i), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)))
+		switch {
+		case b:
+			bounded++
+		case s:
+			splits++
+		default:
+			costRejected++
+		}
+	}
+	if bounded == 0 || costRejected == 0 || splits == 0 {
+		t.Fatalf("sweep misses an outcome: bounded=%d cost-rejected=%d split=%d", bounded, costRejected, splits)
+	}
+	t.Logf("bounded=%d cost-rejected=%d split=%d", bounded, costRejected, splits)
 }

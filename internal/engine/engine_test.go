@@ -277,7 +277,8 @@ func TestReplacementPoliciesRun(t *testing.T) {
 }
 
 // TestSplitPoliciesRun exercises the split paths and checks the Figure 5.10
-// invariant on live data: the optimal cut total never exceeds the greedy's.
+// invariant on live data: the optimal cut total never exceeds the greedy's,
+// and only NP_Split collects the comparison.
 func TestSplitPoliciesRun(t *testing.T) {
 	for _, sp := range []core.SplitPolicy{core.NoSplit, core.LinearSplit, core.NPSplit} {
 		cfg := quickConfig(1000)
@@ -288,6 +289,9 @@ func TestSplitPoliciesRun(t *testing.T) {
 		cs := res.Cluster
 		if sp == core.NoSplit && cs.Splits != 0 {
 			t.Fatalf("NoSplit performed %d splits", cs.Splits)
+		}
+		if sp != core.NPSplit && cs.SplitsCompared != 0 {
+			t.Fatalf("%v ran the NP cut comparison %d times", sp, cs.SplitsCompared)
 		}
 		if cs.OptimalCutTotal > cs.GreedyCutTotal+1e-9 {
 			t.Fatalf("%v: optimal cut total %.3f exceeds greedy %.3f",

@@ -54,9 +54,11 @@ func Fig59(h *Harness) (*Table, error) {
 
 // Fig510 regenerates Figure 5.10: the total cut-cost difference between the
 // Linear_Split heuristic and the optimal NP_Split partition across workload
-// classes. Both partitions are computed at every split on identical inputs
-// (the cluster manager tracks both), so the difference isolates partition
-// quality from policy trajectory.
+// classes. The runs use NP_Split, under which the cluster manager computes
+// both partitions at every feasible overflow on identical inputs (the exact
+// search is seeded with the greedy one), so the difference isolates
+// partition quality from policy trajectory. Linear_Split runs do not
+// collect the comparison.
 func Fig510(h *Harness) (*Table, error) {
 	t := &Table{
 		ID:      "fig5.10",
