@@ -41,12 +41,9 @@ func main() {
 		verb   = flag.Bool("v", false, "print per-run progress (concurrency-safe)")
 		asJSON = flag.Bool("json", false, "emit tables as JSON instead of text")
 
-		tier     = flag.String("tier", "", "single run: scale tier (default | medium | large) — sets sizing, workload, and scale mechanics; explicit flags still override")
-		calendar = flag.String("calendar", "", "event-calendar implementation: heap (reference, default) | wheel (flat cost at large event counts)")
-		lockSh   = flag.Int("lock-shards", 0, "lock-table shard count, rounded up to a power of two (0 = single shard; never changes simulated behavior)")
-		bufSh    = flag.Int("buffer-shards", 0, "buffer-pool shard count, rounded up to a power of two (0 = single shard; never changes simulated behavior)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
+		tier    = flag.String("tier", "", "single run: scale tier (default | medium | large) — sets sizing, workload, and statistics; explicit flags still override")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 
 		wl       = flag.String("workload", "oct", "workload: oct (the paper's model) | ocb (synthetic object-base benchmark)")
 		ocbDist  = flag.String("ocb-dist", "zipf", "ocb workload: reference distribution (uniform | zipf | clustered)")
@@ -154,7 +151,7 @@ func main() {
 	}
 
 	opt := oodb.ExperimentOptions{Scale: *scale, Transactions: *txns, Seed: *seed, Replications: *reps, Workers: *par,
-		CheckpointDir: *ckptDir, CheckpointEachAt: *ckptEachAt, Calendar: *calendar}
+		CheckpointDir: *ckptDir, CheckpointEachAt: *ckptEachAt}
 	if *wl != "oct" {
 		opt.Workload = *wl
 	}
@@ -166,9 +163,7 @@ func main() {
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		s := singleRun{
-			scale: *scale, txns: *txns, seed: *seed, set: set,
-			tier: *tier, calendar: *calendar,
-			lockShards: *lockSh, bufferShards: *bufSh,
+			scale: *scale, txns: *txns, seed: *seed, set: set, tier: *tier,
 			density: *density, rw: *rw, cluster: *cluster, repl: *repl,
 			prefetch: *prefetch, strategy: *strategy, observe: *observe,
 			checkpoint: *ckptFile, checkpointAt: *ckptAt, resume: *resume,
@@ -251,11 +246,8 @@ type singleRun struct {
 	dataDir string
 	fsync   string
 
-	tier         string
-	calendar     string
-	lockShards   int
-	bufferShards int
-	set          map[string]bool // flags the user passed explicitly
+	tier string
+	set  map[string]bool // flags the user passed explicitly
 }
 
 func (s singleRun) config() (oodb.SimConfig, error) {
@@ -272,15 +264,6 @@ func (s singleRun) config() (oodb.SimConfig, error) {
 		}
 		if s.set["seed"] {
 			cfg.Seed = s.seed
-		}
-		if s.calendar != "" {
-			cfg.Calendar = s.calendar
-		}
-		if s.set["lock-shards"] {
-			cfg.LockShards = s.lockShards
-		}
-		if s.set["buffer-shards"] {
-			cfg.BufferShards = s.bufferShards
 		}
 		// Policy flags are orthogonal to tier sizing and still apply;
 		// workload-shape flags are not — the tier defines the workload.
@@ -329,11 +312,6 @@ func (s singleRun) config() (oodb.SimConfig, error) {
 	cfg.Transactions = s.txns
 	cfg.Seed = s.seed
 	cfg.ReadWriteRatio = s.rw
-	if s.calendar != "" {
-		cfg.Calendar = s.calendar
-	}
-	cfg.LockShards = s.lockShards
-	cfg.BufferShards = s.bufferShards
 	if cfg.Density, err = oodb.ParseDensity(s.density); err != nil {
 		return cfg, err
 	}

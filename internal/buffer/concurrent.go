@@ -78,6 +78,9 @@ func NewConcurrentPool(capacity int, policies []Policy) (*ConcurrentPool, error)
 	return p, nil
 }
 
+// fibMix spreads sequential page IDs across shards (Fibonacci hashing).
+const fibMix = 0x9E3779B97F4A7C15
+
 // ShardCapacity returns shard i's frame quota when capacity spreads over n
 // shards: capacity/n, with the remainder distributed one frame at a time to
 // the low shards so the quotas sum exactly to capacity.

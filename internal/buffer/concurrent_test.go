@@ -214,3 +214,46 @@ func TestConcurrentPoolStress(t *testing.T) {
 		t.Fatal("stress run recorded no accesses")
 	}
 }
+
+// TestConcurrentResidencyProbes validates the residency-probe contract
+// under -race: Contains, IsDirty, and Resident run concurrently with a
+// mutator faulting and dirtying pages. (The serial Pool is single-goroutine
+// and makes no such promise.)
+func TestConcurrentResidencyProbes(t *testing.T) {
+	p := newTestConcurrentPool(t, 256, 16)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pg := storage.PageID(i%1024 + 1)
+				p.Contains(pg)
+				p.IsDirty(pg)
+				p.Resident()
+			}
+		}()
+	}
+	for i := 0; i < 20000; i++ {
+		pg := storage.PageID(i%1024 + 1)
+		if _, err := p.Access(pg); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := p.MarkDirty(pg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := p.Resident(); got != 256 {
+		t.Fatalf("resident = %d, want 256", got)
+	}
+}

@@ -8,8 +8,8 @@ import "oodb/internal/storage"
 // organized or synchronized.
 //
 // Two implementations exist. Pool is the deterministic single-threaded pool
-// the simulator uses: one global replacement policy, victim order exactly
-// reproducible, byte-identical figures. ConcurrentPool is the goroutine-safe
+// the simulator uses: one goroutine, no locks, one global replacement
+// policy, victim order exactly reproducible, byte-identical figures. ConcurrentPool is the goroutine-safe
 // pool the concurrent multi-session engine uses: frames shard by page-ID
 // hash, each shard owns its own policy instance and victim selection, and
 // sessions on different shards never contend.

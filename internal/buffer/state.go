@@ -174,18 +174,23 @@ func (p *Pool) Snapshot() (PoolState, error) {
 	}
 	st := PoolState{
 		Capacity: p.capacity,
-		Frames:   make([]FrameState, 0, p.resident.len()),
+		Frames:   make([]FrameState, 0, len(p.resident)),
 		Stats:    p.stats,
 		Policy:   sp.Snapshot(),
 	}
-	p.resident.forEach(func(pg storage.PageID, f frame) {
+	for pg, f := range p.resident {
 		st.Frames = append(st.Frames, FrameState{Page: pg, Dirty: f.dirty, Pins: f.pins})
-	})
+	}
 	sort.Slice(st.Frames, func(i, j int) bool { return st.Frames[i].Page < st.Frames[j].Page })
 	return st, nil
 }
 
-// Restore overwrites residency, statistics, and policy state.
+// Restore overwrites residency, statistics, and policy state. The state is
+// validated before anything is overwritten: every frame must be a distinct
+// non-nil page with a non-negative pin count, and the policy must track
+// exactly the restored frames — a policy that tracked a page the pool does
+// not hold could name it as a victim, and the pool would then evict nothing
+// and grow past its capacity.
 func (p *Pool) Restore(st PoolState) error {
 	sp, ok := p.policy.(StatefulPolicy)
 	if !ok {
@@ -205,12 +210,40 @@ func (p *Pool) Restore(st PoolState) error {
 		if _, dup := resident[f.Page]; dup {
 			return fmt.Errorf("buffer: snapshot holds page %d twice", f.Page)
 		}
+		if f.Pins < 0 {
+			return fmt.Errorf("buffer: snapshot page %d has %d pins", f.Page, f.Pins)
+		}
 		resident[f.Page] = frame{dirty: f.Dirty, pins: f.Pins}
+	}
+	if err := checkMembership(st.Policy, resident); err != nil {
+		return err
 	}
 	if err := sp.Restore(st.Policy); err != nil {
 		return err
 	}
-	p.resident.reset(resident)
+	p.resident = resident
 	p.stats = st.Stats
+	return nil
+}
+
+// checkMembership verifies that the pages a policy state tracks (Pages and
+// Pages2 together, for every policy in this repository) are exactly the
+// resident frames, each tracked once.
+func checkMembership(ps PolicyState, resident map[storage.PageID]frame) error {
+	seen := make(map[storage.PageID]bool, len(resident))
+	for _, pages := range [2][]storage.PageID{ps.Pages, ps.Pages2} {
+		for _, pg := range pages {
+			if _, ok := resident[pg]; !ok {
+				return fmt.Errorf("buffer: policy %s tracks non-resident page %d", ps.Kind, pg)
+			}
+			if seen[pg] {
+				return fmt.Errorf("buffer: policy %s tracks page %d twice", ps.Kind, pg)
+			}
+			seen[pg] = true
+		}
+	}
+	if len(seen) != len(resident) {
+		return fmt.Errorf("buffer: policy %s tracks %d of %d resident pages", ps.Kind, len(seen), len(resident))
+	}
 	return nil
 }

@@ -162,26 +162,8 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 	// no atomics); drop it rather than race on it.
 	cfg.Recorder = nil
 
-	// Auto-size the sharded structures to the machine when the caller
-	// didn't choose: the next power of two >= GOMAXPROCS spreads P
-	// simultaneously running sessions over at least P shards.
-	if cfg.LockShards == 0 {
-		cfg.LockShards = ceilPow2(runtime.GOMAXPROCS(0))
-	}
-	if cfg.BufferShards == 0 {
-		cfg.BufferShards = ceilPow2(runtime.GOMAXPROCS(0))
-	}
-	bufShards := ceilPow2(cfg.BufferShards)
-	for bufShards > 1 && bufShards > cfg.Buffers {
-		bufShards /= 2 // every shard must own at least one frame
-	}
-	cfg.BufferShards = bufShards
-	cfg.LockShards = ceilPow2(cfg.LockShards)
-
-	s, err := sim.NewWithCalendar(cfg.Seed, cfg.Calendar)
-	if err != nil {
-		return nil, err
-	}
+	lockShards, bufShards := shardCounts(runtime.GOMAXPROCS(0), cfg.Buffers)
+	s := sim.New(cfg.Seed)
 
 	var (
 		db    *workload.Database
@@ -224,6 +206,7 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 	policies := make([]buffer.Policy, bufShards)
 	for i := range policies {
 		stream := s.Stream(fmt.Sprintf("random-replacement-%d", i))
+		var err error
 		policies[i], err = buffer.NewPolicyByName(replName, buffer.PolicyConfig{
 			Frames: buffer.ShardCapacity(cfg.Buffers, bufShards, i),
 			RNG:    func() *rand.Rand { return stream },
@@ -280,7 +263,7 @@ func NewConcurrent(cfg Config, opt ConcurrentOptions) (*Concurrent, error) {
 		log.SetDurable(d)
 	}
 	if cfg.Locking {
-		c.locks = lock.NewManagerSharded(cfg.LockShards)
+		c.locks = lock.NewManagerSharded(lockShards)
 	}
 
 	_, boostContext := policies[0].(*core.ContextPolicy)
@@ -379,6 +362,19 @@ func (c *Concurrent) Close() error {
 	return errors.Join(flushErr, d.Close())
 }
 
+// shardCounts sizes the lock table and the buffer pool to the machine: the
+// next power of two >= procs spreads that many simultaneously running
+// sessions over at least as many shards. The buffer shard count is then
+// halved until it is no larger than buffers, so every shard owns a frame.
+func shardCounts(procs, buffers int) (lockShards, bufShards int) {
+	lockShards = ceilPow2(procs)
+	bufShards = lockShards
+	for bufShards > 1 && bufShards > buffers {
+		bufShards /= 2
+	}
+	return lockShards, bufShards
+}
+
 // ceilPow2 rounds n up to the next power of two (minimum 1).
 func ceilPow2(n int) int {
 	p := 1
@@ -415,12 +411,14 @@ func (c *Concurrent) Run() (ConcurrentResults, error) {
 		Pool:         c.pool.Stats(),
 		PoolResident: c.pool.Resident(),
 		PoolCapacity: c.pool.Capacity(),
+		PoolShards:   c.pool.Shards(),
 		HitRatio:     c.pool.Stats().HitRatio(),
 		KindCount:    make(map[string]int),
 	}
 	if c.locks != nil {
 		r.Locks = c.locks.Stats()
 		r.LocksHeld = c.locks.Locked()
+		r.LockShards = c.locks.Shards()
 	}
 	if c.durable != nil {
 		r.Durability = c.durable.DurableStats()
@@ -632,8 +630,10 @@ type ConcurrentResults struct {
 	HitRatio     float64
 	PoolResident int
 	PoolCapacity int
+	PoolShards   int
 	Locks        lock.Stats
 	LocksHeld    int
+	LockShards   int // 0 when locking is off
 
 	// LogicalDigest is the XOR of the per-session read digests. With one
 	// session it equals the serial engine's LogicalDigest for the same

@@ -195,41 +195,37 @@ func TestConcurrentSameSeedLogicalInvariants(t *testing.T) {
 	}
 }
 
-// TestConcurrentAutoSharding: unset shard counts size themselves to the
-// machine; explicit counts are honored (rounded to powers of two, buffer
-// shards clamped to the frame count).
+// TestConcurrentAutoSharding: the lock table and the buffer pool size
+// themselves to the next power of two >= GOMAXPROCS, and a pool with fewer
+// frames than that halves its shard count until every shard owns a frame.
+// The engine builds exactly the counts shardCounts derives.
 func TestConcurrentAutoSharding(t *testing.T) {
+	for _, tc := range []struct {
+		procs, buffers      int
+		wantLocks, wantBufs int
+	}{
+		{1, 50, 1, 1},
+		{2, 50, 2, 2},
+		{3, 50, 4, 4},
+		{8, 50, 8, 8},
+		{12, 1000, 16, 16},
+		{64, 3, 64, 2}, // tiny pool: clamped to keep a frame per shard
+		{4, 4, 4, 4},
+		{4, 1, 4, 1},
+	} {
+		locks, bufs := shardCounts(tc.procs, tc.buffers)
+		if locks != tc.wantLocks || bufs != tc.wantBufs {
+			t.Errorf("shardCounts(%d, %d) = %d, %d; want %d, %d",
+				tc.procs, tc.buffers, locks, bufs, tc.wantLocks, tc.wantBufs)
+		}
+	}
+
 	cfg := quickConfig(50)
-
-	c, err := NewConcurrent(cfg, ConcurrentOptions{Sessions: 2})
-	if err != nil {
-		t.Fatalf("NewConcurrent: %v", err)
-	}
-	want := ceilPow2(runtime.GOMAXPROCS(0))
-	if got := c.pool.Shards(); got != want && got != cfg.Buffers {
-		t.Fatalf("auto buffer shards = %d, want %d (or frame-clamped %d)", got, want, cfg.Buffers)
-	}
-
-	cfg.BufferShards = 4
-	cfg.LockShards = 4
-	c, err = NewConcurrent(cfg, ConcurrentOptions{Sessions: 2})
-	if err != nil {
-		t.Fatalf("NewConcurrent explicit shards: %v", err)
-	}
-	if got := c.pool.Shards(); got != 4 {
-		t.Fatalf("explicit buffer shards = %d, want 4", got)
-	}
-
-	// A tiny pool clamps the shard count down to keep a frame per shard.
-	tiny := quickConfig(50)
-	tiny.Buffers = 3
-	tiny.BufferShards = 64
-	c, err = NewConcurrent(tiny, ConcurrentOptions{Sessions: 1})
-	if err != nil {
-		t.Fatalf("NewConcurrent tiny pool: %v", err)
-	}
-	if got := c.pool.Shards(); got != 2 {
-		t.Fatalf("clamped buffer shards = %d, want 2", got)
+	res := runConcurrent(t, cfg, ConcurrentOptions{Sessions: 2})
+	wantLocks, wantBufs := shardCounts(runtime.GOMAXPROCS(0), cfg.Buffers)
+	if res.PoolShards != wantBufs || res.LockShards != wantLocks {
+		t.Fatalf("built %d pool / %d lock shards, want %d / %d",
+			res.PoolShards, res.LockShards, wantBufs, wantLocks)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"oodb/internal/model"
 	"oodb/internal/obs"
 	"oodb/internal/ocb"
-	"oodb/internal/sim"
 	"oodb/internal/storage"
 	"oodb/internal/workload"
 )
@@ -108,21 +107,6 @@ type Config struct {
 
 	// --- Scale mechanics ---
 
-	// Calendar selects the kernel's event-calendar implementation: "" or
-	// "heap" for the reference binary heap, "wheel" for the hierarchical
-	// timing wheel. Every calendar dispatches in identical (time, seq)
-	// order, so this is purely a performance knob: the wheel keeps
-	// per-event cost flat at large pending-event populations (it wins
-	// above roughly a thousand concurrent users).
-	Calendar string
-	// LockShards is the lock-table shard count (rounded up to a power of
-	// two); 0 or 1 keeps the single-shard default. Sharding never changes
-	// observable behavior.
-	LockShards int
-	// BufferShards is the buffer-pool resident-table shard count (rounded
-	// up to a power of two); 0 or 1 keeps the single-shard default.
-	// Sharding never changes observable behavior.
-	BufferShards int
 	// StatsReservoir, when positive, bounds the response-time samples
 	// retained for percentile reporting to a uniform reservoir of this
 	// size per metric, making metrics memory O(1) in the transaction
@@ -319,12 +303,6 @@ func (c Config) Validate() error {
 	case c.FlashFactor <= 1 && (c.FlashAt != 0 || c.FlashLen != 0):
 		return fmt.Errorf("engine: FlashAt/FlashLen are only meaningful with FlashFactor > 1")
 	}
-	switch c.Calendar {
-	case "", sim.CalendarHeap, sim.CalendarWheel:
-	default:
-		return fmt.Errorf("engine: unknown calendar %q (have %v)",
-			c.Calendar, sim.CalendarKinds())
-	}
 	switch c.Workload {
 	case "", WorkloadOCT:
 	case WorkloadOCB:
@@ -363,14 +341,6 @@ func (c Config) Fingerprint() string {
 	c.Trace = nil
 	c.Record = nil
 	c.Replay = nil
-	// The scale mechanics below change how state is organized, not what the
-	// simulation does — the calendar dispatches in heap order and shard
-	// counts are invisible to single-threaded behavior (the differential
-	// tests assert both). Excluding them lets a checkpoint taken at one
-	// scale wiring resume under another, e.g. heap/unsharded → wheel/sharded.
-	c.Calendar = ""
-	c.LockShards = 0
-	c.BufferShards = 0
 	// The storage backend changes where state lives, not what the simulation
 	// computes — the file backend's logical digest is asserted equal to the
 	// memory backend's — so a checkpoint is portable across backends.

@@ -78,10 +78,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := sim.NewWithCalendar(cfg.Seed, cfg.Calendar)
-	if err != nil {
-		return nil, err
-	}
+	s := sim.New(cfg.Seed)
 
 	// Either workload family yields a (graph, store) pair; everything below
 	// the workload seam is family-agnostic.
@@ -132,7 +129,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := buffer.NewPoolSharded(cfg.Buffers, policy, cfg.BufferShards)
+	pool := buffer.NewPool(cfg.Buffers, policy)
 	pool.SetRecorder(cfg.Recorder)
 	store.SetRecorder(cfg.Recorder)
 
@@ -229,7 +226,7 @@ func New(cfg Config) (*Engine, error) {
 	e.logDisk = sim.NewStation(s, "logdisk", 1)
 
 	if cfg.Locking {
-		e.locks = lock.NewManagerSharded(cfg.LockShards)
+		e.locks = lock.NewManager()
 		e.locks.SetRecorder(cfg.Recorder)
 	}
 	if len(cfg.PhasedRW) > 0 || cfg.AdaptiveClustering {

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"oodb/internal/sim"
 )
 
 // TestTierConfigsValid: every tier builds a configuration that passes
@@ -35,79 +33,51 @@ func TestTierConfigsValid(t *testing.T) {
 	}
 }
 
-// TestCalendarFullRunIdentical runs the same configuration under each
-// registered event calendar and asserts the complete Results are identical —
-// the calendar is a data structure choice, not a behavior choice.
-func TestCalendarFullRunIdentical(t *testing.T) {
-	cfg := quickConfig(300)
-	base := run(t, cfg)
-	for _, kind := range sim.CalendarKinds() {
-		c := cfg
-		c.Calendar = kind
-		res := run(t, c)
-		res.Config.Calendar = cfg.Calendar
-		if !reflect.DeepEqual(stripped(res), stripped(base)) {
-			t.Errorf("calendar %q diverged from default:\n%v\n%v", kind, res, base)
-		}
+// TestMediumTierPinned pins the medium tier's observable results at 1000
+// transactions: read and final-state digests, mean response, hit ratio, and
+// kernel event count. Any change to event dispatch order, buffer residency,
+// or lock bookkeeping in the serial engine moves at least one of them.
+func TestMediumTierPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 48 MB medium-tier object base")
 	}
-}
-
-// TestShardingFullRunIdentical does the same across lock/buffer shard
-// counts: sharding reorganizes state, single-threaded behavior is untouched.
-func TestShardingFullRunIdentical(t *testing.T) {
-	cfg := quickConfig(300)
-	base := run(t, cfg)
-	for _, shards := range []int{4, 64} {
-		c := cfg
-		c.LockShards = shards
-		c.BufferShards = shards
-		res := run(t, c)
-		res.Config.LockShards = cfg.LockShards
-		res.Config.BufferShards = cfg.BufferShards
-		if !reflect.DeepEqual(stripped(res), stripped(base)) {
-			t.Errorf("%d shards diverged from unsharded:\n%v\n%v", shards, res, base)
-		}
+	cfg, err := TierConfig(TierMedium)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestCheckpointAcrossScaleMechanics: the calendar and shard counts are
-// excluded from the configuration fingerprint, so a checkpoint taken under
-// the default wiring resumes under the scale wiring (and vice versa) with a
-// byte-identical continuation — the scale-migration path.
-func TestCheckpointAcrossScaleMechanics(t *testing.T) {
-	plain := quickConfig(300)
-	scaled := plain
-	scaled.Calendar = sim.CalendarWheel
-	scaled.LockShards = 8
-	scaled.BufferShards = 4
-
-	baseline := run(t, plain)
-	for _, tc := range []struct {
-		name     string
-		from, to Config
-	}{
-		{"plain-to-scaled", plain, scaled},
-		{"scaled-to-plain", scaled, plain},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e, err := New(tc.from)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			ck, err := e.RunToCheckpoint(150)
-			if err != nil {
-				t.Fatalf("RunToCheckpoint: %v", err)
-			}
-			resumed := resumeFromBytes(t, tc.to, ck)
-			res, err := resumed.Run()
-			if err != nil {
-				t.Fatalf("Run after resume: %v", err)
-			}
-			res.Config = Config{}
-			if !reflect.DeepEqual(res, stripped(baseline)) {
-				t.Fatalf("resume across scale mechanics diverged:\n%v\n%v", res, baseline)
-			}
-		})
+	cfg.Transactions = 1000
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	const (
+		wantLogical = 0x149fe821b7e52752
+		wantFinal   = 0xed7a65bf91634f41
+		wantMean    = 0.18765684651998016
+		wantHit     = 0.6751998211391202
+		wantEvents  = 7911
+	)
+	if res.Completed != cfg.Transactions {
+		t.Errorf("completed %d, want %d", res.Completed, cfg.Transactions)
+	}
+	if res.LogicalDigest != wantLogical {
+		t.Errorf("logical digest %#x, want %#x", res.LogicalDigest, uint64(wantLogical))
+	}
+	if res.FinalStateDigest != wantFinal {
+		t.Errorf("final-state digest %#x, want %#x", res.FinalStateDigest, uint64(wantFinal))
+	}
+	if res.MeanResponse != wantMean {
+		t.Errorf("mean response %v, want %v", res.MeanResponse, wantMean)
+	}
+	if res.HitRatio != wantHit {
+		t.Errorf("hit ratio %v, want %v", res.HitRatio, wantHit)
+	}
+	if n := e.EventsExecuted(); n != wantEvents {
+		t.Errorf("executed %d events, want %d", n, wantEvents)
 	}
 }
 

@@ -58,12 +58,6 @@ type Options struct {
 	// every run in the experiment ("" = "affinity", the paper's algorithm).
 	ClusterStrategy string
 
-	// Calendar selects the event-calendar implementation for every run
-	// ("" = the binary heap; see sim.CalendarKinds). Both calendars dispatch
-	// events in the same order, so figures are byte-identical either way —
-	// the knob exists for the differential tests and for timing large runs.
-	Calendar string
-
 	// Workload selects the workload family for every run: "" or "oct" for
 	// the paper's engineering-design workload, "ocb" for the OCB synthetic
 	// workload (engine.WorkloadOCB). The OCB-specific experiments override
@@ -172,16 +166,15 @@ func (h *Harness) baseConfig() engine.Config {
 	cfg.Seed = h.opt.Seed
 	cfg.ClusterStrategy = h.opt.ClusterStrategy
 	cfg.Workload = h.opt.Workload
-	cfg.Calendar = h.opt.Calendar
 	return cfg
 }
 
 func key(cfg engine.Config) string {
-	return fmt.Sprintf("%v|%d|%d|%d|%v|%v|%d|%v|%s|%s|%s|%s|%+v", cfg.Label(), cfg.Transactions, cfg.Seed,
+	return fmt.Sprintf("%v|%d|%d|%d|%v|%v|%d|%v|%s|%s|%s|%+v", cfg.Label(), cfg.Transactions, cfg.Seed,
 		cfg.DBBytes, cfg.PhasedRW, cfg.AdaptiveClustering,
 		cfg.ContextBoostLimit, cfg.NoSiblingCandidates,
 		cfg.ReplacementName, cfg.ClusterStrategy,
-		cfg.Workload, cfg.Calendar, cfg.OCB)
+		cfg.Workload, cfg.OCB)
 }
 
 // Run simulates cfg (memoized), averaging over the configured number of

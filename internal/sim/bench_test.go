@@ -25,34 +25,28 @@ func BenchmarkCalendar(b *testing.B) {
 	}
 }
 
-// BenchmarkCalendarScaling compares heap and timing-wheel cost as the
-// pending-event population grows: each in-flight "user" reschedules itself
-// with a spread of think times. The heap's per-op cost grows with log n;
-// the wheel's stays flat.
+// BenchmarkCalendarScaling measures heap cost as the pending-event
+// population grows: each in-flight "user" reschedules itself with a spread
+// of think times, so per-op cost tracks log n of the pending count.
 func BenchmarkCalendarScaling(b *testing.B) {
-	for _, kind := range CalendarKinds() {
-		for _, users := range []int{32, 1024, 32768} {
-			b.Run(fmt.Sprintf("%s/%d", kind, users), func(b *testing.B) {
-				s, err := NewWithCalendar(1, kind)
-				if err != nil {
-					b.Fatal(err)
+	for _, users := range []int{32, 1024, 32768} {
+		b.Run(fmt.Sprint(users), func(b *testing.B) {
+			s := New(1)
+			left := b.N
+			var tick func()
+			tick = func() {
+				if left > 0 {
+					left--
+					s.After(1+float64(left%1000)*0.013, tick)
 				}
-				left := b.N
-				var tick func()
-				tick = func() {
-					if left > 0 {
-						left--
-						s.After(1+float64(left%1000)*0.013, tick)
-					}
-				}
-				for i := 0; i < users; i++ {
-					s.After(float64(i%1000)*0.011, tick)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				s.RunAll()
-			})
-		}
+			}
+			for i := 0; i < users; i++ {
+				s.After(float64(i%1000)*0.011, tick)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.RunAll()
+		})
 	}
 }
 

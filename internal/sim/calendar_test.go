@@ -3,23 +3,48 @@ package sim
 import (
 	"encoding/binary"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// The timing wheel must be observationally identical to the heap: same pop
-// order for every schedule, including seq tie-breaks, sub-tick orderings,
-// cross-level spans, and overflow rebasing. These tests drive both
-// implementations through the calendar seam with the same operation
-// sequences and compare event by event. (The kernel has no cancel
-// operation — events leave the calendar only by firing — so pops double as
-// the removal path under test.)
+// The event heap must dispatch in exact (time, seq) order for every
+// schedule: exact ties broken FIFO by sequence, sub-millisecond orderings,
+// delays spanning milliseconds to years, and long interleavings of pushes
+// and pops. These tests drive the heap and a sort-based reference with the
+// same operation sequences and compare event by event. (The kernel has no
+// cancel operation — events leave the calendar only by firing — so pops
+// double as the removal path under test.)
 
-// drive applies the same operation tape to both calendars and fails on the
-// first divergence. ops > 0 pushes an event at now+delay(op); ops <= 0 pops.
+// sortedRef is the reference calendar: a slice kept sorted by (t, seq), so
+// its head is by construction the next event due. It spells the ordering
+// out itself rather than calling event.before, so a fault in before cannot
+// hide by corrupting the heap and the reference alike.
+type sortedRef []event
+
+func (r *sortedRef) push(e event) {
+	s := *r
+	i := sort.Search(len(s), func(i int) bool {
+		return s[i].t > e.t || (s[i].t == e.t && s[i].seq > e.seq)
+	})
+	s = append(s, event{})
+	copy(s[i+1:], s[i:])
+	s[i] = e
+	*r = s
+}
+
+func (r *sortedRef) pop() event {
+	e := (*r)[0]
+	*r = (*r)[1:]
+	return e
+}
+
+// drive applies the same operation tape to the heap and the reference and
+// fails on the first divergence. ops > 0 pushes an event at now+delay(op);
+// ops <= 0 pops.
 func drive(t *testing.T, delays []float64, tape []int) {
 	t.Helper()
-	ref := &heapCalendar{}
-	w := newWheel(defaultWheelTick)
+	var h eventHeap
+	var ref sortedRef
 	var now float64
 	var seq uint64
 	di := 0
@@ -29,44 +54,39 @@ func drive(t *testing.T, delays []float64, tape []int) {
 			d := delays[di%len(delays)]
 			di++
 			e := event{t: now + d, seq: seq}
+			h.push(e)
 			ref.push(e)
-			w.push(e)
 			continue
 		}
-		if ref.len() != w.len() {
-			t.Fatalf("step %d: len heap=%d wheel=%d", step, ref.len(), w.len())
+		if len(h) != len(ref) {
+			t.Fatalf("step %d: len heap=%d ref=%d", step, len(h), len(ref))
 		}
-		hp, hok := ref.peek()
-		wp, wok := w.peek()
-		if hok != wok {
-			t.Fatalf("step %d: peek ok heap=%v wheel=%v", step, hok, wok)
-		}
-		if !hok {
+		if len(ref) == 0 {
 			continue
 		}
-		if hp.t != wp.t || hp.seq != wp.seq {
-			t.Fatalf("step %d: peek heap=(%.9g,%d) wheel=(%.9g,%d)",
-				step, hp.t, hp.seq, wp.t, wp.seq)
+		if h[0].t != ref[0].t || h[0].seq != ref[0].seq {
+			t.Fatalf("step %d: head heap=(%.9g,%d) ref=(%.9g,%d)",
+				step, h[0].t, h[0].seq, ref[0].t, ref[0].seq)
 		}
-		he, we := ref.pop(), w.pop()
-		if he.t != we.t || he.seq != we.seq {
-			t.Fatalf("step %d: pop heap=(%.9g,%d) wheel=(%.9g,%d)",
-				step, he.t, he.seq, we.t, we.seq)
+		he, re := h.pop(), ref.pop()
+		if he.t != re.t || he.seq != re.seq {
+			t.Fatalf("step %d: pop heap=(%.9g,%d) ref=(%.9g,%d)",
+				step, he.t, he.seq, re.t, re.seq)
 		}
 		now = he.t // mimic the kernel: time advances to the popped event
 	}
 	// Drain both fully and compare the tails.
-	for ref.len() > 0 {
-		if w.len() == 0 {
-			t.Fatalf("drain: wheel empty with %d heap events left", ref.len())
+	for len(ref) > 0 {
+		if len(h) == 0 {
+			t.Fatalf("drain: heap empty with %d reference events left", len(ref))
 		}
-		he, we := ref.pop(), w.pop()
-		if he.t != we.t || he.seq != we.seq {
-			t.Fatalf("drain: heap=(%.9g,%d) wheel=(%.9g,%d)", he.t, he.seq, we.t, we.seq)
+		he, re := h.pop(), ref.pop()
+		if he.t != re.t || he.seq != re.seq {
+			t.Fatalf("drain: heap=(%.9g,%d) ref=(%.9g,%d)", he.t, he.seq, re.t, re.seq)
 		}
 	}
-	if w.len() != 0 {
-		t.Fatalf("drain: heap empty, wheel still holds %d", w.len())
+	if len(h) != 0 {
+		t.Fatalf("drain: reference empty, heap still holds %d", len(h))
 	}
 }
 
@@ -86,39 +106,38 @@ func pushPopTape(pushes, burst int) []int {
 }
 
 func TestCalendarDifferentialTies(t *testing.T) {
-	// Exact ties (identical float), sub-tick distinct times (order within a
-	// bucket decided by exact time, not the bucket), and tick-boundary
-	// values.
+	// Exact ties (identical float) must fall back to sequence order, and
+	// distinct times closer than a millisecond must still order exactly.
 	delays := []float64{
 		0, 0, 0, // exact ties → seq order
-		1e-3, 1e-3, // next tick, tied
-		0.25e-3, 0.75e-3, // same tick, distinct times
-		1.0000001e-3, 0.9999999e-3, // straddle a tick boundary
+		1e-3, 1e-3, // tied again, one millisecond on
+		0.25e-3, 0.75e-3, // sub-millisecond, distinct
+		1.0000001e-3, 0.9999999e-3, // a hair either side of 1 ms
 		0.05, 0.0500001, // CPU-quantum scale
 	}
 	drive(t, delays, pushPopTape(400, 7))
 }
 
 func TestCalendarDifferentialCrossLevel(t *testing.T) {
-	// Spans that force events into every wheel level: level 0 holds ~256 ms,
-	// level 1 ~65 s, level 2 ~4.6 h, level 3 ~50 d at the default tick.
+	// Delays spanning five orders of magnitude at once: disk and CPU
+	// service, think times, hours, and days all pending together.
 	delays := []float64{
-		0.001, 0.02, // level 0
-		1, 7, 30, // level 1 (think times)
-		3600, 9000, // level 2
-		86400 * 3, // level 3
+		0.001, 0.02, // service times
+		1, 7, 30, // think times
+		3600, 9000, // hours
+		86400 * 3, // days
 	}
 	drive(t, delays, pushPopTape(600, 5))
 }
 
 func TestCalendarDifferentialOverflow(t *testing.T) {
-	// Far-future events beyond the wheel horizon (2^32 ticks ≈ 50 days at
-	// 1 ms) land in the overflow list; draining to them exercises rebase.
+	// Far-future events (months to a year out, with a tie) held while near
+	// events keep cycling past them.
 	day := 86400.0
 	delays := []float64{
 		0.01, 1, // near events
-		60 * day, 61 * day, 60 * day, // overflow, with a tie
-		365 * day, // deep overflow kept across one rebase
+		60 * day, 61 * day, 60 * day, // far future, with a tie
+		365 * day, // a year out
 	}
 	drive(t, delays, pushPopTape(200, 3))
 }
@@ -154,117 +173,79 @@ func TestCalendarDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestWheelClear verifies clear() leaves no residue in any level, the
-// working set, or the overflow list.
-func TestWheelClear(t *testing.T) {
-	w := newWheel(defaultWheelTick)
+// TestHeapClear verifies clear() empties the heap, releases every closure,
+// and leaves it reusable — including for times earlier than anything it
+// held before.
+func TestHeapClear(t *testing.T) {
+	var h eventHeap
 	var seq uint64
 	for _, d := range []float64{0, 1e-4, 5, 3600, 1e7, 1e9} {
 		seq++
-		w.push(event{t: d, seq: seq, fn: func() {}})
+		h.push(event{t: d, seq: seq, fn: func() {}})
 	}
-	w.pop() // advance the cursor so clear must also reset it
-	w.clear()
-	if w.len() != 0 {
-		t.Fatalf("len=%d after clear", w.len())
+	h.pop()
+	h.clear()
+	if len(h) != 0 {
+		t.Fatalf("len=%d after clear", len(h))
 	}
-	if _, ok := w.peek(); ok {
-		t.Fatal("peek succeeded on cleared wheel")
+	for i, e := range h[:cap(h)] {
+		if e.fn != nil {
+			t.Fatalf("slot %d still holds a closure after clear", i)
+		}
 	}
-	// The wheel must be fully reusable after clear, including times that
-	// would have been "in the past" of the old cursor.
-	w.push(event{t: 0, seq: 1})
-	if e := w.pop(); e.t != 0 || e.seq != 1 {
+	h.push(event{t: 0, seq: 1})
+	if e := h.pop(); e.t != 0 || e.seq != 1 {
 		t.Fatalf("post-clear pop = (%g,%d)", e.t, e.seq)
 	}
 }
 
-// TestWheelSimEquivalence runs the same model on two kernels, one per
-// calendar, and requires identical executed-event counts and clocks.
-func TestWheelSimEquivalence(t *testing.T) {
-	run := func(kind string) (uint64, Time, []int) {
-		s, err := NewWithCalendar(7, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var order []int
-		st := NewStation(s, "cpu", 1)
-		for i := 0; i < 50; i++ {
-			i := i
-			s.At(float64(i%5)*0.3, func() {
-				st.Request(0.07, func() { order = append(order, i) })
-			})
-		}
-		s.RunAll()
-		return s.Executed(), s.Now(), order
-	}
-	hn, ht, ho := run(CalendarHeap)
-	wn, wt, wo := run(CalendarWheel)
-	if hn != wn || ht != wt {
-		t.Fatalf("heap ran %d events to t=%g, wheel %d to t=%g", hn, ht, wn, wt)
-	}
-	if len(ho) != len(wo) {
-		t.Fatalf("completion counts differ: %d vs %d", len(ho), len(wo))
-	}
-	for i := range ho {
-		if ho[i] != wo[i] {
-			t.Fatalf("completion %d: heap job %d, wheel job %d", i, ho[i], wo[i])
-		}
-	}
-}
-
-func TestNewWithCalendarUnknown(t *testing.T) {
-	if _, err := NewWithCalendar(1, "splay"); err == nil {
-		t.Fatal("expected error for unknown calendar kind")
-	}
-}
-
-// FuzzCalendar feeds random operation tapes to both calendars. Each pair of
-// input bytes encodes one operation: odd first byte pops, even pushes with
-// a delay scaled from the pair — spanning sub-tick to past-horizon values.
+// FuzzCalendar feeds random operation tapes to the heap and the sorted
+// reference. Each pair of input bytes encodes one operation: odd first byte
+// pops, even pushes with a delay scaled from the pair — spanning exact ties
+// through sub-millisecond to months.
 func FuzzCalendar(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x00, 0xff, 0x01, 0x00})
 	f.Add([]byte{0x02, 0x00, 0x02, 0x00, 0x02, 0x00, 0x01, 0x00, 0x01, 0x00})
 	f.Add([]byte{0x04, 0xf0, 0x06, 0xf0, 0x01, 0x00, 0x04, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ref := &heapCalendar{}
-		w := newWheel(defaultWheelTick)
+		var h eventHeap
+		var ref sortedRef
 		var now float64
 		var seq uint64
 		for i := 0; i+1 < len(data); i += 2 {
 			if data[i]&1 == 1 {
-				if ref.len() == 0 {
-					if w.len() != 0 {
-						t.Fatalf("heap empty, wheel len=%d", w.len())
+				if len(ref) == 0 {
+					if len(h) != 0 {
+						t.Fatalf("reference empty, heap len=%d", len(h))
 					}
 					continue
 				}
-				he, we := ref.pop(), w.pop()
-				if he.t != we.t || he.seq != we.seq {
-					t.Fatalf("pop heap=(%.9g,%d) wheel=(%.9g,%d)", he.t, he.seq, we.t, we.seq)
+				he, re := h.pop(), ref.pop()
+				if he.t != re.t || he.seq != re.seq {
+					t.Fatalf("pop heap=(%.9g,%d) ref=(%.9g,%d)", he.t, he.seq, re.t, re.seq)
 				}
 				now = he.t
 				continue
 			}
 			// Delay from the byte pair: a 16-bit mantissa scaled by a
 			// magnitude picked from its low bits, hitting ties (0),
-			// sub-tick, in-wheel, and past-horizon ranges.
+			// sub-millisecond, seconds, and far-future ranges.
 			m := binary.LittleEndian.Uint16(data[i : i+2])
 			scale := [4]float64{0, 1e-5, 0.5, 1e5}[m&3]
 			d := float64(m>>2) * scale
 			seq++
 			e := event{t: now + d, seq: seq}
+			h.push(e)
 			ref.push(e)
-			w.push(e)
 		}
-		for ref.len() > 0 {
-			he, we := ref.pop(), w.pop()
-			if he.t != we.t || he.seq != we.seq {
-				t.Fatalf("drain heap=(%.9g,%d) wheel=(%.9g,%d)", he.t, he.seq, we.t, we.seq)
+		for len(ref) > 0 {
+			he, re := h.pop(), ref.pop()
+			if he.t != re.t || he.seq != re.seq {
+				t.Fatalf("drain heap=(%.9g,%d) ref=(%.9g,%d)", he.t, he.seq, re.t, re.seq)
 			}
 		}
-		if w.len() != 0 {
-			t.Fatalf("wheel holds %d events after heap drained", w.len())
+		if len(h) != 0 {
+			t.Fatalf("heap holds %d events after the reference drained", len(h))
 		}
 	})
 }

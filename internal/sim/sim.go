@@ -9,12 +9,14 @@
 // as resumable state machines whose steps re-schedule themselves via station
 // completion callbacks.
 //
-// The event calendar is an inlined typed binary heap rather than
-// container/heap: Push/Pop through the standard interface box every event
-// through interface{}, allocating once per scheduled event on the hottest
-// path of the whole simulator. The typed heap keeps events in a reusable
-// backing slice, so scheduling and dispatch are allocation-free in steady
-// state (see BenchmarkEventCalendar).
+// The kernel has exactly one event calendar: an inlined typed binary heap
+// rather than container/heap. Push/Pop through the standard interface box
+// every event through interface{}, allocating once per scheduled event on
+// the hottest path of the whole simulator. The typed heap keeps events in a
+// reusable backing slice, so scheduling and dispatch are allocation-free in
+// steady state (see BenchmarkEventCalendar). Calendar push and pop stay
+// below the profile's noise floor even at the large tier's 100k pending
+// events, so nothing cleverer is needed.
 package sim
 
 import (
@@ -94,12 +96,22 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// clear drops every pending event, zeroing the slots so no closure stays
+// reachable, and keeps the backing capacity.
+func (h *eventHeap) clear() {
+	ev := *h
+	for i := range ev {
+		ev[i] = event{}
+	}
+	*h = ev[:0]
+}
+
 // Sim is a discrete-event simulator. Create one with New; it is not safe for
 // concurrent use (the model is single-threaded by design so that runs are
 // deterministic — parallel experiments give each goroutine its own Sim).
 type Sim struct {
 	now  Time
-	cal  calendar
+	cal  eventHeap
 	seq  uint64
 	seed int64
 	nrun uint64 // events executed
@@ -110,22 +122,9 @@ type Sim struct {
 	streams map[string]*stream
 }
 
-// New returns a simulator whose random streams derive from seed, using the
-// default (binary heap) event calendar.
+// New returns a simulator whose random streams derive from seed.
 func New(seed int64) *Sim {
-	return &Sim{seed: seed, cal: &heapCalendar{}}
-}
-
-// NewWithCalendar returns a simulator using the named calendar
-// implementation (CalendarHeap or CalendarWheel; "" selects the default
-// heap). Every calendar dispatches in identical (time, seq) order, so the
-// choice changes performance characteristics only — never the schedule.
-func NewWithCalendar(seed int64, kind string) (*Sim, error) {
-	cal, err := newCalendar(kind)
-	if err != nil {
-		return nil, err
-	}
-	return &Sim{seed: seed, cal: cal}, nil
+	return &Sim{seed: seed}
 }
 
 // Now returns the current simulated time.
@@ -157,9 +156,8 @@ func (s *Sim) After(d Time, fn func()) {
 // event is later than until. It returns the number of events executed.
 func (s *Sim) Run(until Time) int {
 	n := 0
-	for {
-		next, ok := s.cal.peek()
-		if !ok || next.t > until {
+	for len(s.cal) > 0 {
+		if s.cal[0].t > until {
 			break
 		}
 		e := s.cal.pop()
@@ -178,7 +176,7 @@ func (s *Sim) Run(until Time) int {
 func (s *Sim) RunAll() int { return s.Run(math.Inf(1)) }
 
 // Pending returns the number of scheduled events.
-func (s *Sim) Pending() int { return s.cal.len() }
+func (s *Sim) Pending() int { return len(s.cal) }
 
 // Stream returns a deterministic random stream derived from the simulator
 // seed and the given name. Distinct names give independent streams, so the

@@ -262,8 +262,7 @@ func TestHeapCapacityReuse(t *testing.T) {
 		s.After(float64(i), func() {})
 	}
 	s.RunAll()
-	h := s.cal.(*heapCalendar)
-	grown := cap(h.h)
+	grown := cap(s.cal)
 	if grown < 64 {
 		t.Fatalf("cap=%d after 64 events", grown)
 	}
@@ -271,8 +270,8 @@ func TestHeapCapacityReuse(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.After(float64(i), func() {})
 	}
-	if cap(h.h) != grown {
-		t.Fatalf("cap grew from %d to %d on reuse", grown, cap(h.h))
+	if cap(s.cal) != grown {
+		t.Fatalf("cap grew from %d to %d on reuse", grown, cap(s.cal))
 	}
 	s.RunAll()
 }
@@ -284,8 +283,7 @@ func TestHeapReleasesClosures(t *testing.T) {
 		s.After(float64(i), func() {})
 	}
 	s.RunAll()
-	h := s.cal.(*heapCalendar).h
-	for i, e := range h[:cap(h)] {
+	for i, e := range s.cal[:cap(s.cal)] {
 		if e.fn != nil {
 			t.Fatalf("slot %d still holds a closure after drain", i)
 		}

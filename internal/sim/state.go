@@ -127,7 +127,7 @@ func (s *Sim) ScheduleRestored(t Time, seq uint64, fn func()) {
 // false if the calendar is empty. Checkpointing runs use Step so they can
 // test for quiescence between events.
 func (s *Sim) Step() bool {
-	if s.cal.len() == 0 {
+	if len(s.cal) == 0 {
 		return false
 	}
 	e := s.cal.pop()
